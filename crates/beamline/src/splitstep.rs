@@ -276,26 +276,3 @@ mod tests {
         assert!((b.fluence().total() - p0).abs() / p0 < 1e-9);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn trace_contrast() {
-        for dist in [0.5, 1.0, 2.0, 4.0, 8.0] {
-            let mut clean = Beamline::gaussian(64, 0.01, 1e-6, 1.5e-3);
-            let mut dirty = Beamline::gaussian(64, 0.01, 1e-6, 1.5e-3);
-            dirty.add_phase_defect(26, 26, 4, 1.0);
-            dirty.add_phase_defect(38, 30, 4, 1.0);
-            clean.propagate(dist, 8);
-            dirty.propagate(dist, 8);
-            println!(
-                "z={dist}: clean {:.4} dirty {:.4}",
-                clean.fluence().ripple_contrast(),
-                dirty.fluence().ripple_contrast()
-            );
-        }
-    }
-}

@@ -189,7 +189,7 @@ pub fn registry() -> Registry {
         ),
         (
             "rank-throughput",
-            "ISSUE 8 (des kernel: simulated ranks per host-second)",
+            "§4.10.6 (des kernel: simulated ranks per host-second)",
             exps_des::rank_throughput
         ),
     );
@@ -197,12 +197,12 @@ pub fn registry() -> Registry {
         r,
         (
             "portability-matrix",
-            "ISSUE 9 (conclusions across machine presets)",
+            "§4–5 (which conclusions survive off Sierra, by machine preset)",
             exps_matrix::portability_matrix
         ),
         (
             "cluster-throughput",
-            "ISSUE 10 (incremental cluster serving: placed jobs per host-second)",
+            "§4.7 at fleet scale (serving throughput: placed jobs per host-second)",
             exps_cluster::cluster_throughput
         ),
     );
@@ -253,6 +253,12 @@ mod tests {
     fn every_experiment_names_a_paper_artifact() {
         for e in registry().iter() {
             assert!(!e.paper_artifact().is_empty(), "{} has no artifact", e.id());
+            assert!(
+                !e.paper_artifact().contains("ISSUE"),
+                "{} names a change request, not a paper artifact: {}",
+                e.id(),
+                e.paper_artifact()
+            );
         }
     }
 

@@ -213,30 +213,3 @@ mod tests {
         Monodomain::new(8, 8, 0.3, 0.02, 4);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn trace_wave() {
-        let mut m = Monodomain::new(24, 24, 0.2, 0.02, 8);
-        m.stimulate(12, 12, 3, 60.0);
-        for s in 0..150 {
-            m.step(false);
-            if s % 10 == 0 {
-                let st = &m.state[12 * 24 + 12];
-                let edge = &m.state[12 * 24 + 16];
-                println!(
-                    "step {s}: frac {:.3} centre v {:.1} m {:.2} h {:.2} edge v {:.1}",
-                    m.activated_fraction(-40.0),
-                    st[0],
-                    st[1],
-                    st[2],
-                    edge[0]
-                );
-            }
-        }
-    }
-}

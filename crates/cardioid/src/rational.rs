@@ -160,18 +160,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore]
-    fn diag_print_errors() {
-        for d in [4, 6, 8, 10, 12] {
-            let r = RationalApprox::fit(f64::exp, -5.0, 5.0, d, d, 40 * d);
-            println!("exp deg {d}: {:.3e}", r.max_rel_error(f64::exp, 1000));
-            let f = |v: f64| 1.0 / (1.0 + ((v + 20.0) / 7.0).exp());
-            let r = RationalApprox::fit(f, -90.0, 50.0, d, d, 40 * d);
-            println!("sig deg {d}: {:.3e}", r.max_rel_error(f, 2000));
-        }
-    }
-
-    #[test]
     fn fits_exp_to_high_accuracy() {
         let r = RationalApprox::fit(f64::exp, -5.0, 5.0, 6, 6, 240);
         let err = r.max_rel_error(f64::exp, 1000);

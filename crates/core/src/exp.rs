@@ -33,8 +33,8 @@ impl Report {
         out
     }
 
-    /// The tables as a JSON array (hand-rolled; the workspace serde is a
-    /// no-op shim).
+    /// The tables as a JSON array (hand-rolled; the workspace has no JSON
+    /// library).
     pub fn tables_json(&self) -> String {
         let mut out = String::from("[");
         for (i, t) in self.tables.iter().enumerate() {

@@ -343,14 +343,3 @@ mod tests {
         assert!(with_nvme > without);
     }
 }
-
-#[cfg(test)]
-mod diag {
-    #[test]
-    #[ignore]
-    fn print_table() {
-        for r in super::table2() {
-            println!("{:?}", r);
-        }
-    }
-}

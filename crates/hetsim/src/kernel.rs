@@ -7,12 +7,10 @@
 //! (shared-memory staging, texture fetches, divergence, low occupancy from
 //! merged-vs-tiny kernels).
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{CpuSpec, GpuSpec};
 
 /// How a kernel is launched; determines the fixed overhead charged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LaunchClass {
     /// A plain device kernel launch.
     #[default]
@@ -33,7 +31,7 @@ pub enum LaunchClass {
 }
 
 /// Floating-point precision of the kernel's arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Precision {
     #[default]
     Fp64,
@@ -44,7 +42,7 @@ pub enum Precision {
 /// [`KernelProfile`] (absolute, whole-kernel) and `portal::PerItem`
 /// (per-iteration, scaled by trip count) are built from. Keeping one
 /// builder here means the two APIs cannot drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostTerms {
     pub flops: f64,
     pub bytes_read: f64,
@@ -114,7 +112,7 @@ impl CostTerms {
 }
 
 /// A roofline description of one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     /// Diagnostic name (shows up in counters).
     pub name: String,

@@ -43,8 +43,6 @@
 
 use std::sync::Mutex;
 
-use serde::Serialize;
-
 use crate::des::TrackBank;
 
 use crate::obs::{Recorder, SpanKind};
@@ -52,7 +50,7 @@ use crate::sim::Event;
 use crate::spec::{Machine, NetworkSpec, TopologySpec};
 
 /// Collective operations used by the workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveKind {
     /// Ring allreduce of `bytes` per rank.
     AllReduce,
@@ -92,7 +90,7 @@ impl CollectiveKind {
 }
 
 /// Which algorithm an allreduce uses (other collectives are flat-only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllReduceAlgo {
     /// Single flat ring over the fabric — the v1 model, and the default.
     #[default]
@@ -119,7 +117,7 @@ impl AllReduceAlgo {
 /// `u ∈ [0, 1)` a splitmix64 hash — so factors lie in `[1, severity)`,
 /// every rank is reproducible from the seed alone, and `severity = 1.0`
 /// yields a factor of exactly `1.0` (bit-for-bit baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSpec {
     /// Seed for the per-rank hash; same seed ⇒ same stragglers.
     pub seed: u64,
@@ -193,7 +191,7 @@ struct NetState {
 const NIC_SPAN_TRACKS: usize = 8;
 
 /// A network of `ranks` endpoints over `spec`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Network {
     pub spec: NetworkSpec,
     pub ranks: usize,

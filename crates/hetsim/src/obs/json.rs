@@ -1,8 +1,8 @@
 //! A tiny hand-rolled JSON encoder + parser.
 //!
-//! The workspace's `serde` is an offline no-op shim (no `serde_json`
-//! exists here at all), so the observability sinks encode by hand and the
-//! tests that validate those sinks parse with this module. It supports
+//! The workspace builds offline with no JSON library, so the
+//! observability sinks encode by hand and the tests that validate those
+//! sinks parse with this module. It supports
 //! the full JSON value grammar minus exotic number forms; good enough to
 //! round-trip everything [`crate::obs`] emits.
 

@@ -3,10 +3,8 @@
 //! All numbers are double-precision peaks and per-direction bandwidths, the
 //! same figures vendors publish and the paper reasons with.
 
-use serde::Serialize;
-
 /// A CPU socket complex (all sockets of a node aggregated).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name, e.g. "2x POWER9".
     pub name: &'static str,
@@ -37,7 +35,7 @@ impl CpuSpec {
 }
 
 /// A single GPU.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. "V100".
     pub name: &'static str,
@@ -64,7 +62,7 @@ pub struct GpuSpec {
 }
 
 /// Interconnect family between a host and a device, or between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// A copy within one memory system (host DDR -> host DDR, or a
     /// device-local `cudaMemcpyDeviceToDevice`): no interconnect at all,
@@ -87,7 +85,7 @@ pub enum LinkKind {
 }
 
 /// A point-to-point link.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     pub kind: LinkKind,
     /// Achievable per-direction bandwidth, GB/s.
@@ -111,7 +109,7 @@ impl LinkSpec {
 }
 
 /// Everything on one node.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
     pub cpu: CpuSpec,
     /// GPUs on the node (empty for CPU-only machines).
@@ -137,7 +135,7 @@ impl NodeConfig {
 }
 
 /// Node-to-node network description.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     /// Injection bandwidth per node, GB/s.
     pub injection_bw_gbs: f64,
@@ -154,7 +152,7 @@ pub struct NetworkSpec {
 /// operation into an intra-node phase (NVLink ring among the ranks of one
 /// node) and an inter-node phase (fabric tree among node leaders). Flat
 /// collectives ignore it entirely.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Ranks (GPUs/processes) per node; 1 means "every rank is its own
     /// node" and the hierarchy degenerates to the flat algorithm's shape.
@@ -184,7 +182,7 @@ impl TopologySpec {
 /// Derived from a [`Machine`]'s published specs by [`Machine::power`]
 /// rather than stored on the node config, so every existing preset gains
 /// energy accounting without a constructor change.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerSpec {
     /// Residual draw when the node is powered off (PSU + BMC), W.
     pub off_w: f64,
@@ -218,7 +216,7 @@ impl PowerSpec {
 /// Derived from a [`Machine`]'s published specs by [`Machine::backend`]
 /// (the [`Machine::power`] / [`Machine::topology`] pattern), so every
 /// existing preset gains the model without a constructor change.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendSpec {
     /// Portal-over-native factor for device kernels (>= 1.0).
     pub device_factor: f64,
@@ -227,7 +225,7 @@ pub struct BackendSpec {
 }
 
 /// A full machine: many identical nodes plus a fabric.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     pub name: &'static str,
     /// Deployment year (Table 2 reports machines by year).

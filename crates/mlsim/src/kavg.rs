@@ -392,25 +392,3 @@ mod tests {
         assert!(acc < 0.8, "linear-ish probe too good: {acc}");
     }
 }
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn lr_sweep() {
-        let (xs, ys) = synth_dataset(400, 4, 3);
-        for lr in [0.6, 1.2, 2.0, 3.0, 4.5, 6.0, 8.0] {
-            let cfg = TrainConfig {
-                lr,
-                batch: 32,
-                steps: 1500,
-                seed: 5,
-            };
-            let (_, sync_loss, _) = train_kavg(&xs, &ys, cfg, 16, 4);
-            let (_, async_loss) = train_asgd(&xs, &ys, cfg, 16);
-            println!("lr {lr}: kavg {sync_loss:.4} asgd {async_loss:.4}");
-        }
-    }
-}

@@ -7,9 +7,9 @@
 //! statistics so SAMRAI-style amortisation claims can be benchmarked.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hetsim::obs::Recorder;
-use parking_lot::Mutex;
 
 /// Memory space an allocation lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,6 +162,14 @@ impl Pool {
         self.space
     }
 
+    /// Lock the pool state, recovering it if a holder panicked. Every
+    /// panic under this lock fires before the state changes (the one
+    /// callers can reach is [`Pool::free`]'s double-free check), so the
+    /// pool stays usable after a caught panic.
+    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Allocate `bytes`; returns the handle and the simulated cost paid.
     ///
     /// Under a capacity bound ([`Pool::with_capacity`]) a fresh allocation
@@ -171,7 +179,7 @@ impl Pool {
     /// from *host* memory instead and marked [`Block::spilled`].
     pub fn alloc(&self, bytes: u64) -> (Block, f64) {
         let class = size_class(bytes);
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.stats.allocs += 1;
 
         // Pool hit: cached -> live, footprint unchanged, never violates the
@@ -289,7 +297,7 @@ impl Pool {
     /// size class and panics on a free with none outstanding.
     pub fn free(&self, block: Block) {
         assert_eq!(block.space, self.space, "block returned to wrong pool");
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         if block.spilled {
             // Host-spilled blocks go straight back to the OS; they never
             // enter the device free list.
@@ -326,7 +334,7 @@ impl Pool {
     }
 
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Fraction of allocations served from the pool.
@@ -449,6 +457,28 @@ mod tests {
             space: Space::Host,
             spilled: false,
         });
+    }
+
+    #[test]
+    fn pool_stays_usable_after_a_caught_double_free() {
+        // The double-free panic fires while `free` holds the pool lock.
+        // The lock must not stay poisoned: the next call on the same pool
+        // has to work and see consistent counts.
+        let p = Pool::new(Space::Device);
+        let (b, _) = p.alloc(1024);
+        p.free(b);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.free(b)));
+        assert!(caught.is_err(), "a double free must panic");
+
+        let (c, _) = p.alloc(1024); // pool hit on the block freed once
+        p.free(c);
+        let s = p.stats();
+        assert_eq!(s.allocs, 2);
+        assert_eq!(s.pool_hits, 1);
+        assert_eq!(s.raw_allocs, 1);
+        assert_eq!(s.bytes_live, 0);
+        assert_eq!(s.bytes_cached, 1024);
+        assert_eq!(s.footprint(), s.bytes_high_water);
     }
 
     #[test]

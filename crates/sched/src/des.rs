@@ -2,9 +2,7 @@
 //!
 //! [`simulate`] runs a job list on a single pool of identical GPUs under
 //! any [`SchedPolicy`] — the four historical policies live in
-//! [`crate::policy`] as concrete types, and the old [`Policy`] enum
-//! survives as a `#[deprecated]` adapter that forwards to them, so
-//! pre-trait call sites compile (and behave) unchanged.
+//! [`crate::policy`] as concrete types.
 
 use hetsim::des::EventQueue;
 
@@ -24,55 +22,6 @@ enum SimEv {
     Finish,
 }
 
-/// Scheduling policy — the original closed enum, kept as a thin adapter.
-///
-/// Each variant forwards to the equivalent [`crate::policy`] type;
-/// metrics are bitwise identical to the pre-trait simulator (pinned by
-/// the conformance proptests in `tests/tests/sched_policy_props.rs`).
-#[deprecated(
-    note = "use the SchedPolicy trait impls in sched::policy (Fcfs, Sjf, SjfQuota, EasyBackfill, GpuBinPack, SlaUrgency)"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Strict first-come-first-served: the queue head blocks everyone.
-    Fcfs,
-    /// Shortest job first: pick the shortest queued job that fits.
-    Sjf,
-    /// SJF with an ageing quota: a job bypassed by `quota` shorter jobs
-    /// is promoted to the queue head (starvation bound).
-    SjfQuota { quota: usize },
-    /// EASY backfilling: FCFS head reservation; later jobs may start early
-    /// only if they cannot delay the head job's earliest possible start.
-    EasyBackfill,
-}
-
-#[allow(deprecated)]
-impl SchedPolicy for Policy {
-    fn name(&self) -> &str {
-        match self {
-            Policy::Fcfs => "FCFS",
-            Policy::Sjf => "SJF",
-            Policy::SjfQuota { .. } => "SJF+Quota",
-            Policy::EasyBackfill => "EASY-Backfill",
-        }
-    }
-
-    fn select(&self, view: &ClusterView) -> Option<crate::policy::Decision> {
-        match *self {
-            Policy::Fcfs => crate::policy::Fcfs.select(view),
-            Policy::Sjf => crate::policy::Sjf.select(view),
-            Policy::SjfQuota { quota } => crate::policy::SjfQuota { quota }.select(view),
-            Policy::EasyBackfill => crate::policy::EasyBackfill.select(view),
-        }
-    }
-
-    fn on_select(&self, queue: &mut [QueuedJob], chosen: usize) {
-        if let Policy::SjfQuota { quota } = *self {
-            crate::policy::SjfQuota { quota }.on_select(queue, chosen)
-        }
-    }
-}
-
 /// Simulation output.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
@@ -86,8 +35,8 @@ pub struct Metrics {
 
 /// Simulate `jobs` on a pool of `gpus` identical GPUs under `policy`.
 ///
-/// Accepts any [`SchedPolicy`] — a concrete policy type, a `&dyn
-/// SchedPolicy`, or (deprecated) a [`Policy`] enum value.
+/// Accepts any [`SchedPolicy`] — a concrete policy type or a `&dyn
+/// SchedPolicy`.
 pub fn simulate(jobs: &[Job], gpus: usize, policy: impl SchedPolicy) -> Metrics {
     assert!(gpus >= 1);
     assert!(
@@ -196,22 +145,21 @@ pub fn simulate(jobs: &[Job], gpus: usize, policy: impl SchedPolicy) -> Metrics 
     }
 }
 
-// The legacy enum is the deliberate subject under test here: these suites
-// pin the deprecated adapter path to the trait implementations.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{Fcfs, Sjf, SjfQuota};
     use crate::workload::{batch_arrivals, poisson_arrivals, total_gpu_seconds};
 
     const GPUS: usize = 16;
 
     #[test]
     fn all_jobs_complete() {
-        for policy in [Policy::Fcfs, Policy::Sjf, Policy::SjfQuota { quota: 8 }] {
+        let policies: [&dyn SchedPolicy; 3] = [&Fcfs, &Sjf, &SjfQuota { quota: 8 }];
+        for policy in policies {
             let jobs = batch_arrivals(200, 1);
             let m = simulate(&jobs, GPUS, policy);
-            assert_eq!(m.completed, 200, "{policy:?}");
+            assert_eq!(m.completed, 200, "{}", policy.name());
             assert!(m.utilization > 0.0 && m.utilization <= 1.0 + 1e-9);
         }
     }
@@ -220,11 +168,13 @@ mod tests {
     fn makespan_bounded_below_by_work() {
         let jobs = batch_arrivals(100, 2);
         let lower = total_gpu_seconds(&jobs) / GPUS as f64;
-        for policy in [Policy::Fcfs, Policy::Sjf] {
+        let policies: [&dyn SchedPolicy; 2] = [&Fcfs, &Sjf];
+        for policy in policies {
             let m = simulate(&jobs, GPUS, policy);
             assert!(
                 m.makespan >= lower - 1e-9,
-                "{policy:?}: {} < {lower}",
+                "{}: {} < {lower}",
+                policy.name(),
                 m.makespan
             );
         }
@@ -233,8 +183,8 @@ mod tests {
     #[test]
     fn sjf_cuts_mean_wait_in_batch_mode() {
         let jobs = batch_arrivals(300, 3);
-        let fcfs = simulate(&jobs, GPUS, Policy::Fcfs);
-        let sjf = simulate(&jobs, GPUS, Policy::Sjf);
+        let fcfs = simulate(&jobs, GPUS, Fcfs);
+        let sjf = simulate(&jobs, GPUS, Sjf);
         assert!(
             sjf.mean_wait < 0.7 * fcfs.mean_wait,
             "{} vs {}",
@@ -248,8 +198,8 @@ mod tests {
         // Head-of-line blocking: a 4-GPU job at the head idles free GPUs
         // that SJF would fill.
         let jobs = batch_arrivals(300, 3);
-        let fcfs = simulate(&jobs, GPUS, Policy::Fcfs);
-        let sjf = simulate(&jobs, GPUS, Policy::SjfQuota { quota: 16 });
+        let fcfs = simulate(&jobs, GPUS, Fcfs);
+        let sjf = simulate(&jobs, GPUS, SjfQuota { quota: 16 });
         assert!(
             sjf.utilization > fcfs.utilization,
             "{} vs {}",
@@ -264,8 +214,8 @@ mod tests {
         // jobs indefinitely; the quota promotes them after a bounded
         // number of bypasses.
         let jobs = poisson_arrivals(600, 0.055, 9);
-        let plain = simulate(&jobs, GPUS, Policy::Sjf);
-        let quota = simulate(&jobs, GPUS, Policy::SjfQuota { quota: 12 });
+        let plain = simulate(&jobs, GPUS, Sjf);
+        let quota = simulate(&jobs, GPUS, SjfQuota { quota: 12 });
         // Derivation of the 0.88 bound: quota = 12 means a long job can be
         // bypassed by at most 12 shorter arrivals before it jumps the
         // queue, so its worst-case wait is capped near 12 bypass services
@@ -291,8 +241,8 @@ mod tests {
         // ~0.8*35 + 0.2*600 = 148 GPU-s x ~1.8 GPUs => one job ~ 266
         // GPU-s; 16 GPUs serve ~0.060 jobs/s.
         let horizon_jobs = 600;
-        let over = simulate(&poisson_arrivals(horizon_jobs, 0.12, 7), GPUS, Policy::Fcfs);
-        let under = simulate(&poisson_arrivals(horizon_jobs, 0.03, 7), GPUS, Policy::Fcfs);
+        let over = simulate(&poisson_arrivals(horizon_jobs, 0.12, 7), GPUS, Fcfs);
+        let under = simulate(&poisson_arrivals(horizon_jobs, 0.03, 7), GPUS, Fcfs);
         // Overloaded queue: waits comparable to the whole horizon; stable
         // queue: waits near zero.
         assert!(
@@ -313,35 +263,14 @@ mod tests {
             duration: 1.0,
             gpus: 32,
         }];
-        simulate(&jobs, GPUS, Policy::Fcfs);
+        simulate(&jobs, GPUS, Fcfs);
     }
 }
 
-#[allow(deprecated)]
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use crate::workload::poisson_arrivals;
-
-    #[test]
-    #[ignore]
-    fn starvation_probe() {
-        for rate in [0.04, 0.05, 0.055] {
-            let jobs = poisson_arrivals(600, rate, 9);
-            let plain = simulate(&jobs, 16, Policy::Sjf);
-            let q = simulate(&jobs, 16, Policy::SjfQuota { quota: 12 });
-            println!(
-                "rate {rate}: plain max {:.0} mean {:.0} | quota max {:.0} mean {:.0}",
-                plain.max_wait, plain.mean_wait, q.max_wait, q.mean_wait
-            );
-        }
-    }
-}
-
-#[allow(deprecated)]
 #[cfg(test)]
 mod backfill_tests {
     use super::*;
+    use crate::policy::{EasyBackfill, Fcfs};
     use crate::workload::{batch_arrivals, Job};
 
     const GPUS: usize = 8;
@@ -364,8 +293,8 @@ mod backfill_tests {
             job(1, 1.0, 50.0, 4),  // head-blocked: needs 4, only 2 free
             job(2, 2.0, 20.0, 1),  // backfill candidate (fits, ends at 22 < 100)
         ];
-        let fcfs = simulate(&jobs, GPUS, Policy::Fcfs);
-        let easy = simulate(&jobs, GPUS, Policy::EasyBackfill);
+        let fcfs = simulate(&jobs, GPUS, Fcfs);
+        let easy = simulate(&jobs, GPUS, EasyBackfill);
         assert!(
             easy.mean_wait < fcfs.mean_wait,
             "{} vs {}",
@@ -385,8 +314,8 @@ mod backfill_tests {
             job(1, 1.0, 50.0, 4),  // head reservation at t=100
             job(2, 2.0, 500.0, 2), // would delay head: 2 free now, but head needs them? no: head needs 4 at t=100, extra = 8-6(freed)+2... check via waits
         ];
-        let fcfs = simulate(&jobs, GPUS, Policy::Fcfs);
-        let easy = simulate(&jobs, GPUS, Policy::EasyBackfill);
+        let fcfs = simulate(&jobs, GPUS, Fcfs);
+        let easy = simulate(&jobs, GPUS, EasyBackfill);
         // Job 1 (the reserved head) must wait the same under both.
         // waits are recorded in launch order; identify by total: the head's
         // wait is 99 under FCFS (starts at t=100).
@@ -399,8 +328,8 @@ mod backfill_tests {
     #[test]
     fn backfill_beats_fcfs_on_a_mixed_batch() {
         let jobs = batch_arrivals(300, 11);
-        let fcfs = simulate(&jobs, 16, Policy::Fcfs);
-        let easy = simulate(&jobs, 16, Policy::EasyBackfill);
+        let fcfs = simulate(&jobs, 16, Fcfs);
+        let easy = simulate(&jobs, 16, EasyBackfill);
         assert_eq!(easy.completed, 300);
         assert!(
             easy.utilization >= fcfs.utilization,
@@ -414,7 +343,7 @@ mod backfill_tests {
     #[test]
     fn all_jobs_still_complete_under_backfill() {
         let jobs = batch_arrivals(150, 13);
-        let m = simulate(&jobs, GPUS, Policy::EasyBackfill);
+        let m = simulate(&jobs, GPUS, EasyBackfill);
         assert_eq!(m.completed, 150);
     }
 }

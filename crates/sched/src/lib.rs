@@ -14,15 +14,14 @@
 //! Scheduling policies are pluggable: implement [`SchedPolicy`] (see
 //! [`policy`]) and hand it to [`simulate`] — or to the cluster-scale
 //! simulator in `icoe::cluster`, which schedules the same trait over a
-//! heterogeneous fleet with power states and SLAs. The historical
-//! [`Policy`] enum still works as a deprecated adapter.
+//! heterogeneous fleet with power states and SLAs.
 
 //! ```
-//! use sched::{batch_arrivals, simulate, Policy};
+//! use sched::{batch_arrivals, simulate, Fcfs, SjfQuota};
 //!
 //! let jobs = batch_arrivals(100, 7);
-//! let fcfs = simulate(&jobs, 8, Policy::Fcfs);
-//! let sjf = simulate(&jobs, 8, Policy::SjfQuota { quota: 12 });
+//! let fcfs = simulate(&jobs, 8, Fcfs);
+//! let sjf = simulate(&jobs, 8, SjfQuota { quota: 12 });
 //! assert_eq!(fcfs.completed, 100);
 //! assert!(sjf.mean_wait < fcfs.mean_wait);
 //! ```
@@ -31,8 +30,6 @@ pub mod des;
 pub mod policy;
 pub mod workload;
 
-#[allow(deprecated)]
-pub use des::Policy;
 pub use des::{simulate, Metrics};
 pub use policy::{
     ClusterView, Decision, EasyBackfill, Fcfs, GpuBinPack, JobInfo, NodeView, QueuedJob,

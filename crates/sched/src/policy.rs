@@ -1,16 +1,13 @@
 //! The pluggable scheduling-policy API.
 //!
-//! PR 6 opens the §4.7 simulator's closed `Copy` enum into a trait:
-//! a [`SchedPolicy`] looks at a [`ClusterView`] — the waiting queue, the
+//! A [`SchedPolicy`] looks at a [`ClusterView`] — the waiting queue, the
 //! running set, and (when scheduling a heterogeneous fleet rather than a
 //! single GPU pool) per-node free resources — and picks the next job to
-//! launch as a [`Decision`]. The four historical policies (FCFS, SJF,
-//! SJF+Quota, EASY backfill) are reimplemented here as concrete types
-//! with *bitwise identical* behaviour to the old enum arms (pinned by
-//! `tests/tests/sched_policy_props.rs`), and two cluster-scale policies
-//! join them: GPU-aware bin packing ([`GpuBinPack`]) and least-slack SLA
-//! urgency ([`SlaUrgency`]). The old `des::Policy` enum survives as a
-//! `#[deprecated]` adapter that forwards to these implementations.
+//! launch as a [`Decision`]. The four §4.7 policies (FCFS, SJF,
+//! SJF+Quota, EASY backfill) are concrete types here, and two
+//! cluster-scale policies join them: GPU-aware bin packing
+//! ([`GpuBinPack`]) and least-slack SLA urgency ([`SlaUrgency`]). Their
+//! properties are pinned by `tests/tests/sched_policy_props.rs`.
 //!
 //! Contract: the simulator calls [`SchedPolicy::select`] repeatedly at
 //! each event time until it returns `None`; after every accepted pick it

@@ -1,7 +1,6 @@
-//! Property-based tests for the `SchedPolicy` trait (PR 6): every
-//! built-in policy upholds the simulator invariants, the classic policy
-//! orderings hold, and the deprecated `Policy` enum adapter is *bitwise*
-//! equal to the trait implementations it forwards to.
+//! Property-based tests for the `SchedPolicy` trait: every built-in
+//! policy upholds the simulator invariants and the classic policy
+//! orderings hold.
 
 use proptest::prelude::*;
 use sched::{
@@ -86,39 +85,6 @@ proptest! {
         prop_assert!(quota.mean_wait + 1e-9 >= sjf.mean_wait);
         // Same single-GPU batch: identical makespan no matter the order.
         prop_assert!((fcfs.makespan - sjf.makespan).abs() < 1e-9);
-    }
-
-    /// The deprecated `Policy` enum adapter must stay *bitwise* equal to
-    /// the trait policies it forwards to — the conformance contract that
-    /// keeps the 21 golden documents valid.
-    #[test]
-    #[allow(deprecated)]
-    fn enum_adapter_is_bitwise_equal_to_trait_policies(
-        durations in prop::collection::vec(0.5f64..60.0, 1..40),
-        gaps in prop::collection::vec(0.0f64..8.0, 40),
-        widths in prop::collection::vec(0usize..6, 40),
-        quota in 1usize..10,
-    ) {
-        use sched::Policy;
-        let gpus = 4usize;
-        let jobs = jobs_from(&durations, &gaps, &widths, gpus);
-        let pairs: Vec<(Policy, Box<dyn SchedPolicy>)> = vec![
-            (Policy::Fcfs, Box::new(Fcfs)),
-            (Policy::Sjf, Box::new(Sjf)),
-            (Policy::SjfQuota { quota }, Box::new(SjfQuota { quota })),
-            (Policy::EasyBackfill, Box::new(EasyBackfill)),
-        ];
-        for (legacy, modern) in pairs {
-            let a = simulate(&jobs, gpus, legacy);
-            let b = simulate(&jobs, gpus, modern.as_ref());
-            // Bitwise, not approximate: the adapter forwards to the very
-            // same code, so even the float noise must agree.
-            prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.mean_wait.to_bits(), b.mean_wait.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.max_wait.to_bits(), b.max_wait.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.utilization.to_bits(), b.utilization.to_bits(), "{}", modern.name());
-            prop_assert_eq!(a.completed, b.completed);
-        }
     }
 
     /// With capacity for every job at once, each work-conserving policy
